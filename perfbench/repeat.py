@@ -3,15 +3,16 @@
 and quartiles against its bound from BENCHMARK.json.
 
     python3 perfbench/repeat.py                      # 10 seeds x every workload
-    python3 perfbench/repeat.py --workloads crowd_1m --runs 5 --seed-base 100
+    python3 perfbench/repeat.py --seed-base 11       # a second set: seeds 11-20
     python3 perfbench/repeat.py --trace both --runs 3  # adds tracing overhead
 
-Run it from the root of a checkout. The spread column is the distance
-between the first and third quartile as a share of the median (Python's
-statistics.quantiles(values, n=4)); "ok" means it is within a third of the
-bound, "WIDE" that it is within the bound only, "OVER" that it exceeds it.
-The share of failed operations per workload is printed too. Raw results go to
-.bench_out/repeat-<time>.json.
+Run it from the root of a checkout. Every run lasts run_seconds from
+BENCHMARK.json, so sets made on two commits compare like with like. The
+spread column is the distance between the first and third quartile as a
+share of the median (Python's statistics.quantiles(values, n=4)); "ok"
+means it is within a third of the bound, "WIDE" that it is within the bound
+only, "OVER" that it exceeds it. The share of failed operations per workload
+is printed too. Raw results go to .bench_out/repeat-<time>.json.
 """
 
 import argparse
@@ -91,20 +92,16 @@ def overhead(workload, timed, traced):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", default="")
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=0,
-                        help="default: run_seconds from BENCHMARK.json")
     parser.add_argument("--trace", choices=("0", "1", "both"), default="0")
     args = parser.parse_args()
 
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = ([w for w in args.workloads.split(",") if w] or
-                 [w["name"] for w in bench["workloads"]])
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     traces = {"0": [0], "1": [1], "both": [0, 1]}[args.trace]
 
     all_runs = []

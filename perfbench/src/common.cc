@@ -1,5 +1,7 @@
 #include "common.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -12,6 +14,12 @@ int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+int64_t ProcessCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
 double Quantile(std::vector<double> values, double q) {

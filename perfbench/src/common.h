@@ -13,6 +13,9 @@ namespace perfbench {
 /// Monotonic nanoseconds (std::chrono::steady_clock).
 int64_t NowNs();
 
+/// CPU time of the whole process since it started, all threads, in ns.
+int64_t ProcessCpuNs();
+
 /// Linear-interpolated quantile, q in [0, 1]; 0 for an empty input.
 double Quantile(std::vector<double> values, double q);
 

@@ -31,7 +31,10 @@ void AdmitSink::Emit(const Event& e) {
   const Status st = Admit(*session_, e);
   if (st.ok()) {
     ++accepted;
-    if (first_ok_ns == 0) first_ok_ns = NowNs();
+    if (first_ok_ns == 0) {
+      first_ok_ns = NowNs();
+      first_ok_cpu_ns = ProcessCpuNs();
+    }
   } else if (failed++ == 0) {
     first_error = st.ToString();
   }

@@ -25,8 +25,9 @@
 namespace perfbench {
 
 /// Admits one producer's events straight into the session, counting the
-/// accepted and refused calls.
-class AdmitSink : public EventSink {
+/// accepted and refused calls. Cache-line aligned: each producer bumps its
+/// own counters once per event, and neighbours must not share a line.
+class alignas(64) AdmitSink : public EventSink {
  public:
   explicit AdmitSink(retrasyn::IngestSession* session) : session_(session) {}
 
@@ -34,7 +35,8 @@ class AdmitSink : public EventSink {
 
   uint64_t accepted = 0;
   uint64_t failed = 0;
-  int64_t first_ok_ns = 0;  ///< when the first call was accepted
+  int64_t first_ok_ns = 0;      ///< when the first call was accepted
+  int64_t first_ok_cpu_ns = 0;  ///< ProcessCpuNs() then
   std::string first_error;
 
  private:

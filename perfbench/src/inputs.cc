@@ -26,7 +26,7 @@ retrasyn::RetraSynConfig WorkloadSpec::Config(uint64_t seed) const {
 }
 
 int64_t WorkloadSpec::PlannedRounds(int seconds) const {
-  if (interval_ms <= 0.0) return 0;
+  if (interval_ms <= 0.0) return std::llround(seconds * rounds_per_second);
   return std::llround(seconds * 1000.0 / interval_ms) + checkpoint_every / 2;
 }
 
@@ -39,6 +39,7 @@ bool LookupWorkload(const std::string& name, WorkloadSpec* spec) {
     s.box = BoundingBox{0.0, 0.0, 30000.0, 30000.0};
     s.grid_k = 64;
     s.checkpoint_every = 100;
+    s.rounds_per_second = 90.0;
   } else if (name == "crowd_1m") {
     // Ingest-bound: ~1M admitted events per round against |S| = 2,628.
     s.box = BoundingBox{0.0, 0.0, 16000.0, 16000.0};
@@ -47,6 +48,7 @@ bool LookupWorkload(const std::string& name, WorkloadSpec* spec) {
     s.producers = std::clamp(retrasyn::ThreadPool::DefaultConcurrency(), 1, 8);
     s.checkpoint_every = 40;
     s.lambda = 42.7;
+    s.rounds_per_second = 6.0;
   } else if (name == "durable_paced") {
     // The only workload that journals, checkpoints and recovers.
     s.box = BoundingBox{0.0, 0.0, 10000.0, 10000.0};
@@ -200,71 +202,101 @@ class HotspotTaxis : public RoundSource {
 
 // --- crowd_1m: ~1M concurrent random walkers with churn ---------------------
 //
-// A fixed array of user slots. Each round a slot's user moves by a uniform
+// A fixed set of user slots. Each round a slot's user moves by a uniform
 // step of at most 150 units (cells are 1000 wide), or leaves with
 // probability 3/128 (two thirds by Quit, one third by silence); an empty slot
-// is refilled by a new user the next round. Every decision is a hash of (seed, slot,
-// round), so the events do not depend on how many producers split the slots.
-// Slot i belongs, in round t, to the shard of the user acting in it; that id
-// is read from a buffer no producer writes during round t.
+// is refilled by a new user the next round. Every decision is a hash of
+// (seed, slot, round), so the events do not depend on how many producers
+// split the slots.
+//
+// Each producer owns the slots whose user belongs to its shard, stored
+// contiguously, and touches no other: the generator's cost per producer
+// falls with the producer count instead of scanning every slot. A slot whose
+// next user belongs to another shard is handed over through an outbox that
+// its new owner drains at the start of the next round.
 class Crowd : public RoundSource {
  public:
   static constexpr uint32_t kSlots = 1000000;
   static constexpr uint64_t kIdStride = 1ull << 20;  // > kSlots
 
-  explicit Crowd(uint64_t seed)
+  Crowd(uint64_t seed, int parts)
       : seed_(Mix64(seed ^ 0x63726f7764ull)),
-        user_{std::vector<uint64_t>(kSlots), std::vector<uint64_t>(kSlots)},
-        x_(kSlots),
-        y_(kSlots),
-        active_(kSlots, 0) {
-    for (uint32_t i = 0; i < kSlots; ++i) user_[0][i] = i + 1;
+        parts_(parts),
+        own_(static_cast<size_t>(parts)),
+        outbox_{Outboxes(static_cast<size_t>(parts) * parts),
+                Outboxes(static_cast<size_t>(parts) * parts)} {
+    for (std::vector<Slot>& own : own_) own.reserve(kSlots / parts + kSlots / 64);
+    for (uint32_t i = 0; i < kSlots; ++i) {
+      const uint64_t user = i + 1;
+      own_[retrasyn::IngestSession::ShardOf(user, parts)].push_back(
+          Slot{user, i, 0.0f, 0.0f, false});
+    }
   }
 
   uint32_t Produce(int64_t t, int part, int parts, EventSink& sink) override {
-    const std::vector<uint64_t>& acting = user_[t & 1];
-    std::vector<uint64_t>& next = user_[(t + 1) & 1];
+    RETRASYN_CHECK(parts == parts_);
+    std::vector<Slot>& own = own_[static_cast<size_t>(part)];
+    // Slots handed over in round t - 1 (written by their old owners then).
+    Outboxes& inbox = outbox_[(t + 1) & 1];
+    for (int from = 0; from < parts; ++from) {
+      std::vector<Slot>& moved = inbox[static_cast<size_t>(from) * parts + part];
+      own.insert(own.end(), moved.begin(), moved.end());
+      moved.clear();
+    }
+    Outboxes& outbox = outbox_[t & 1];
     uint32_t located = 0;
-    for (uint32_t i = 0; i < kSlots; ++i) {
-      const uint64_t user = acting[i];
-      if (parts > 1 &&
-          retrasyn::IngestSession::ShardOf(user, parts) !=
-              static_cast<uint32_t>(part)) {
-        continue;
-      }
+    size_t kept = 0;
+    for (Slot s : own) {
       const uint64_t h =
-          Mix64(seed_ ^ Mix64((static_cast<uint64_t>(t) << 20) | i));
-      if (!active_[i]) {
-        x_[i] = static_cast<float>((h & 0xffffff) * (16000.0 / 16777216.0));
-        y_[i] = static_cast<float>(((h >> 24) & 0xffffff) *
-                                   (16000.0 / 16777216.0));
-        active_[i] = 1;
-        next[i] = user;
-        sink.Emit(Event{Event::kEnter, user, Point{x_[i], y_[i]}});
+          Mix64(seed_ ^ Mix64((static_cast<uint64_t>(t) << 20) | s.slot));
+      if (!s.active) {
+        s.x = static_cast<float>((h & 0xffffff) * (16000.0 / 16777216.0));
+        s.y = static_cast<float>(((h >> 24) & 0xffffff) *
+                                 (16000.0 / 16777216.0));
+        s.active = true;
+        sink.Emit(Event{Event::kEnter, s.user, Point{s.x, s.y}});
         ++located;
+        own[kept++] = s;
         continue;
       }
       const uint32_t leave = static_cast<uint32_t>(h >> 57);  // 0..127
       if (leave < 3) {  // ~2.3%: depart, by Quit or by silence
-        active_[i] = 0;
-        next[i] = user + kIdStride;
-        if (leave < 2) sink.Emit(Event{Event::kQuit, user, {}});
+        if (leave < 2) sink.Emit(Event{Event::kQuit, s.user, {}});
+        s.active = false;
+        s.user += kIdStride;
+        const uint32_t owner = retrasyn::IngestSession::ShardOf(s.user, parts);
+        if (owner == static_cast<uint32_t>(part)) {
+          own[kept++] = s;
+        } else {
+          outbox[static_cast<size_t>(part) * parts + owner].push_back(s);
+        }
         continue;
       }
       const double dx =
           static_cast<double>(h & 0xfffff) / 1048576.0 * 300.0 - 150.0;
       const double dy =
           static_cast<double>((h >> 20) & 0xfffff) / 1048576.0 * 300.0 - 150.0;
-      x_[i] = static_cast<float>(Reflect(x_[i] + dx));
-      y_[i] = static_cast<float>(Reflect(y_[i] + dy));
-      next[i] = user;
-      sink.Emit(Event{Event::kMove, user, Point{x_[i], y_[i]}});
+      s.x = static_cast<float>(Reflect(s.x + dx));
+      s.y = static_cast<float>(Reflect(s.y + dy));
+      sink.Emit(Event{Event::kMove, s.user, Point{s.x, s.y}});
       ++located;
+      own[kept++] = s;
     }
+    own.resize(kept);
     return located;
   }
 
  private:
+  struct Slot {
+    uint64_t user;  ///< the user acting in this slot next
+    uint32_t slot;  ///< keys the slot's hash decisions
+    float x;
+    float y;
+    bool active;
+  };
+  /// [from * parts + to]: slots handed from one producer to another.
+  using Outboxes = std::vector<std::vector<Slot>>;
+
   static double Reflect(double v) {
     if (v < 0.0) return -v;
     if (v > 16000.0) return 32000.0 - v;
@@ -272,10 +304,9 @@ class Crowd : public RoundSource {
   }
 
   uint64_t seed_;
-  std::vector<uint64_t> user_[2];  ///< acting user per slot, by round parity
-  std::vector<float> x_;
-  std::vector<float> y_;
-  std::vector<uint8_t> active_;
+  int parts_;
+  std::vector<std::vector<Slot>> own_;  ///< per producer
+  Outboxes outbox_[2];                  ///< by round parity
 };
 
 // --- durable_paced: network-constrained (Oldenburg-like) objects -----------
@@ -336,9 +367,11 @@ class NetworkReplay : public RoundSource {
 }  // namespace
 
 std::unique_ptr<RoundSource> MakeSource(const WorkloadSpec& spec,
-                                        uint64_t seed, int64_t max_rounds) {
+                                        uint64_t seed, int64_t max_rounds,
+                                        int parts) {
+  if (spec.name == "crowd_1m") return std::make_unique<Crowd>(seed, parts);
+  RETRASYN_CHECK(parts == 1);
   if (spec.name == "tdrive_hires") return std::make_unique<HotspotTaxis>(seed);
-  if (spec.name == "crowd_1m") return std::make_unique<Crowd>(seed);
   return std::make_unique<NetworkReplay>(seed, max_rounds);
 }
 

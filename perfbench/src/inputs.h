@@ -31,9 +31,9 @@ class EventSink {
 
 /// Round-by-round event generator. Produce(t, part, parts) emits the events
 /// of round t owned by producer `part` (users partitioned exactly as
-/// IngestSession shards them); every part of round t must be produced
-/// before any part of round t + 1. Returns how many users of the part report
-/// a location (Enter or Move) in round t.
+/// IngestSession shards them; `parts` as given to MakeSource); every part of
+/// round t must be produced before any part of round t + 1. Returns how many
+/// users of the part report a location (Enter or Move) in round t.
 class RoundSource {
  public:
   virtual ~RoundSource() = default;
@@ -60,12 +60,17 @@ struct WorkloadSpec {
   int64_t checkpoint_every = 50;
   /// > 0: open loop, one round due every interval_ms; 0: closed loop.
   double interval_ms = 0.0;
+  /// Closed loop: rounds run per second of --seconds, about the rate of the
+  /// reference host. A fixed round count, not a deadline, so that the
+  /// horizon-dependent metrics (snapshot_s, peak_rss_mb) cover the same
+  /// rounds in every run instead of following the host's speed.
+  double rounds_per_second = 0.0;
   /// Average stream length (Eq. 8 lambda).
   double lambda = 13.61;
 
-  /// Rounds an open-loop run of \p seconds schedules (0 for a closed loop):
-  /// the seconds' worth of intervals plus half a checkpoint cadence, so the
-  /// run ends mid-cadence and recovery replays a fixed journal suffix.
+  /// Rounds a run of \p seconds makes. An open loop schedules the seconds'
+  /// worth of intervals plus half a checkpoint cadence, so the run ends
+  /// mid-cadence and recovery replays a fixed journal suffix.
   int64_t PlannedRounds(int seconds) const;
 
   /// The shipped RetraSynConfig defaults plus this workload's settings.
@@ -75,11 +80,13 @@ struct WorkloadSpec {
 /// The three workloads; false for an unknown name.
 bool LookupWorkload(const std::string& name, WorkloadSpec* spec);
 
-/// A fresh generator for \p spec seeded with \p seed. \p max_rounds bounds
-/// the horizon of sources that materialize their input up front (the open
-/// loop knows its round count in advance).
+/// A fresh generator for \p spec seeded with \p seed, to be drained by
+/// \p parts producers (the events do not depend on \p parts). \p max_rounds
+/// bounds the horizon of sources that materialize their input up front (the
+/// open loop knows its round count in advance).
 std::unique_ptr<RoundSource> MakeSource(const WorkloadSpec& spec,
-                                        uint64_t seed, int64_t max_rounds);
+                                        uint64_t seed, int64_t max_rounds,
+                                        int parts);
 
 }  // namespace perfbench
 

